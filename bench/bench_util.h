@@ -97,12 +97,10 @@ inline HawkConfig GoogleConfig(uint32_t num_workers, uint64_t seed = 42) {
 // Executor-independent event count for throughput rates: the paper-level
 // control-plane events — job arrivals, probe placements, task placements
 // (centralized lane), and one start plus one finish per launched task.
-// Derived from the semantic RunCounters, which the determinism contract
-// keeps identical across the serial and sharded executors; `counters.events`
-// by contrast tallies each executor's internal bookkeeping (the epoch
-// machinery splits deliveries across coordinator and shard phases), so rates
-// built on it are only comparable within one executor. Rates built on this
-// are comparable across rows and executors alike.
+// Derived from the semantic RunCounters; `counters.events` by contrast
+// tallies the driver's internal bookkeeping (utilization samples, request
+// resolves, fault ticks), so rates built on it move whenever that bookkeeping
+// does. Rates built on this compare across rows and schedulers alike.
 inline uint64_t PaperEvents(const RunCounters& c) {
   return c.jobs + c.probes_placed + c.central_tasks_placed + 2 * c.tasks_launched;
 }

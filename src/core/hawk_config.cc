@@ -90,15 +90,6 @@ constexpr FieldSetter kFields[] = {
        c.short_partition_fraction = v;
        return true;
      }},
-    {"sim_epoch_coalescing",
-     [](HawkConfig& c, double v) {
-       c.sim_epoch_coalescing = v != 0.0;
-       return true;
-     }},
-    {"sim_shards",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_shards, v); }},
-    {"sim_threads",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_threads, v); }},
     {"slots_per_worker",
      [](HawkConfig& c, double v) { return SetIntegerField(&c.slots_per_worker, v); }},
     {"speculation_threshold",
@@ -194,8 +185,9 @@ Status HawkConfig::Validate() const {
   if (num_workers == 0) {
     return Status::Error("num_workers must be nonzero");
   }
-  if (probe_ratio < 1) {
-    return Status::Error("probe_ratio must be >= 1 (got 0)");
+  if (probe_ratio < 1 || probe_ratio > kMaxProbeRatio) {
+    return Status::Error("probe_ratio must be in [1, " + std::to_string(kMaxProbeRatio) +
+                         "], got " + std::to_string(probe_ratio));
   }
   if (slots_per_worker < 1 || slots_per_worker > kMaxSlotsPerWorker) {
     return Status::Error("slots_per_worker must be in [1, " +
@@ -285,23 +277,6 @@ Status HawkConfig::Validate() const {
   }
   if (retry_budget < 1) {
     return Status::Error("retry_budget must be >= 1 (got 0)");
-  }
-  if (sim_shards < 1) {
-    return Status::Error("sim_shards must be >= 1 (got 0)");
-  }
-  if (sim_shards > 1) {
-    if (sim_shards > num_workers) {
-      return Status::Error("sim_shards (" + std::to_string(sim_shards) +
-                           ") must not exceed num_workers (" + std::to_string(num_workers) +
-                           "); every shard needs at least one worker");
-    }
-    // The sharded executor's safe horizon is the one-way network delay: all
-    // cross-worker effects take at least one delivery, so each shard can
-    // advance net_delay_us of virtual time between barriers. A zero delay
-    // leaves no conservative window.
-    if (net_delay_us < 1) {
-      return Status::Error("sim_shards > 1 requires net_delay_us >= 1 (the horizon)");
-    }
   }
   return Status::Ok();
 }

@@ -17,6 +17,11 @@
 
 namespace hawk {
 
+// Ceiling on HawkConfig::probe_ratio. The paper probes at d = 2 and the
+// ablations sweep up to 8; at 1024, ratio x tasks (see ProbeCount) fits the
+// 32-bit probe count for every job of up to 2^22 tasks.
+inline constexpr uint32_t kMaxProbeRatio = 1024;
+
 // How jobs are split into long/short for scheduling and metrics.
 enum class ClassifyMode : uint8_t {
   // Compare the (possibly noise-injected) per-job average task runtime
@@ -64,7 +69,7 @@ struct HawkConfig {
   double estimate_noise_lo = 1.0;
   double estimate_noise_hi = 1.0;
 
-  // Sparrow-style probing (§3.5): probes per task.
+  // Sparrow-style probing (§3.5): probes per task, in [1, kMaxProbeRatio].
   uint32_t probe_ratio = 2;
 
   // Randomized stealing (§3.6): max random victims contacted per idle
@@ -89,30 +94,6 @@ struct HawkConfig {
   DurationUs util_sample_period_us = SecondsToUs(100.0);
 
   uint64_t seed = 42;
-
-  // --- sharded simulation ---------------------------------------------------
-  // Number of worker-store shards the simulation executor may advance in
-  // parallel within one run. 1 (the default) selects the serial driver and is
-  // byte-identical to builds without the sharded executor. Values > 1 select
-  // the epoch-synchronized sharded executor: results are bit-identical across
-  // thread counts and across shard counts > 1 for a given seed, but are a
-  // sanctioned divergence from sim_shards=1 (stealing commits at epoch
-  // barriers and straggler draws use per-worker substreams; pinned by the
-  // golden-result fixtures). Simulation-only: the prototype runtime ignores
-  // this knob.
-  uint32_t sim_shards = 1;
-
-  // OS threads driving the shard phases. 0 (the default) uses
-  // min(sim_shards, hardware concurrency). Non-semantic: any value yields
-  // bit-identical results for a fixed sim_shards.
-  uint32_t sim_threads = 0;
-
-  // Epoch coalescing in the sharded executor: when an epoch window contains
-  // no shard-side events, the coordinator advances to the next window without
-  // waking the phase pool (an empty phase commits nothing, so skipping it is
-  // order-preserving by construction). Non-semantic like sim_threads: on and
-  // off are bit-identical; the knob exists so tests can pin that.
-  bool sim_epoch_coalescing = true;
 
   // --- fault injection ------------------------------------------------------
   // All knobs default to zero: a zero-fault run draws nothing from the fault

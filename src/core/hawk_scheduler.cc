@@ -48,7 +48,7 @@ void HawkPolicy::ScheduleLongCentralized(const Job& job, const JobClass& cls) {
 void HawkPolicy::ScheduleDistributed(const Job& job, const JobClass& cls, SlotId first,
                                      uint32_t count) {
   const Cluster& cluster = ctx_->GetCluster();
-  const uint32_t num_probes = config_.probe_ratio * job.NumTasks();
+  const uint32_t num_probes = ProbeCount(config_.probe_ratio, job.NumTasks());
   ChooseProbeTargetsInto(ctx_->SchedRng(), first, count, num_probes, &targets_, &picks_);
   for (const SlotId slot : targets_) {
     ctx_->PlaceProbe(cluster.WorkerOfSlot(slot), job.id, cls.is_long_sched);

@@ -13,6 +13,8 @@
 #ifndef HAWK_CORE_PROBE_PLACEMENT_H_
 #define HAWK_CORE_PROBE_PLACEMENT_H_
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/check.h"
@@ -20,6 +22,17 @@
 #include "src/common/types.h"
 
 namespace hawk {
+
+// Probes for a job of `tasks` tasks at `ratio` probes per task. The product
+// is formed in 64 bits and must fit the 32-bit probe count. With the ratio
+// bounded by kMaxProbeRatio only a job of more than 2^22 tasks can exceed
+// it, and that aborts here instead of wrapping to a short probe count.
+inline uint32_t ProbeCount(uint32_t ratio, uint32_t tasks) {
+  const uint64_t probes = static_cast<uint64_t>(ratio) * tasks;
+  HAWK_CHECK_LE(probes, std::numeric_limits<uint32_t>::max())
+      << "probe count overflows: ratio " << ratio << " x " << tasks << " tasks";
+  return static_cast<uint32_t>(probes);
+}
 
 // Fills `*targets` with `num_probes` worker ids in [first, first + count),
 // reusing the capacity of `*targets` and `*picks_scratch` so a warmed-up

@@ -194,7 +194,7 @@ void DistributedFrontend::HandleMessage(const rpc::BusMessage& message) {
       const auto emplaced = jobs_.emplace(submit.job, std::move(state));
       HAWK_CHECK(emplaced.second);
       ++jobs_handled_;
-      SendProbesLocked(submit.job, emplaced.first->second, probe_ratio_ * num_tasks);
+      SendProbesLocked(submit.job, emplaced.first->second, ProbeCount(probe_ratio_, num_tasks));
       break;
     }
     case kTaskRequest: {

@@ -10,7 +10,7 @@ void SparrowPolicy::OnJobArrival(const Job& job, const JobClass& cls) {
   // more likely to receive a probe (with single-slot workers the two spaces
   // coincide).
   const auto num_slots = static_cast<uint32_t>(cluster.TotalSlots());
-  const uint32_t num_probes = probe_ratio_ * job.NumTasks();
+  const uint32_t num_probes = ProbeCount(probe_ratio_, job.NumTasks());
   ChooseProbeTargetsInto(ctx_->SchedRng(), /*first=*/0, num_slots, num_probes, &targets_,
                          &picks_);
   for (const SlotId slot : targets_) {

@@ -24,7 +24,7 @@ void SplitClusterPolicy::OnJobArrival(const Job& job, const JobClass& cls) {
   HAWK_CHECK_GT(cluster.ShortPartitionCount(), 0u) << "split cluster requires a short partition";
   const SlotId short_first = cluster.GeneralSlots();
   const auto short_slots = static_cast<uint32_t>(cluster.TotalSlots() - short_first);
-  const uint32_t num_probes = probe_ratio_ * job.NumTasks();
+  const uint32_t num_probes = ProbeCount(probe_ratio_, job.NumTasks());
   ChooseProbeTargetsInto(ctx_->SchedRng(), short_first, short_slots, num_probes, &targets_,
                          &picks_);
   for (const SlotId slot : targets_) {

@@ -153,6 +153,61 @@ TEST(WorkerStoreTest, StealGroupIntoAfterWraparound) {
   EXPECT_TRUE(store.QueueEmpty(victim));
 }
 
+// The store-wide totals gate steal-retry arming (TotalQueued) and feed
+// utilization (ExecutingTotal); every queue and slot mutation must keep them
+// equal to the per-worker sums.
+TEST(WorkerStoreTest, TotalsTrackEveryQueueAndSlotMutation) {
+  SlotSpec spec;
+  spec.slots_per_worker = 2;
+  WorkerStore store(3, spec);
+  auto expect_totals = [&store](uint64_t queued, uint64_t executing) {
+    uint64_t queue_sum = 0;
+    uint64_t executing_sum = 0;
+    for (WorkerId w = 0; w < store.NumWorkers(); ++w) {
+      queue_sum += store.QueueSize(w);
+      executing_sum += store.ExecutingSlots(w);
+    }
+    EXPECT_EQ(store.TotalQueued(), queued);
+    EXPECT_EQ(queue_sum, queued);
+    EXPECT_EQ(store.ExecutingTotal(), executing);
+    EXPECT_EQ(executing_sum, executing);
+  };
+  expect_totals(0, 0);
+
+  store.Enqueue(0, LongTask(1));
+  store.Enqueue(0, ShortProbe(2));
+  store.Enqueue(0, ShortProbe(3));
+  store.Enqueue(0, LongTask(4));
+  store.Enqueue(0, ShortProbe(5));
+  expect_totals(5, 0);
+
+  // Moving entries between workers leaves the total unchanged.
+  EXPECT_EQ(store.StealGroupInto(0, 1), 2u);  // Jobs 2, 3.
+  expect_totals(5, 0);
+
+  // Extracting removes the group from the store altogether.
+  EXPECT_EQ(store.ExtractStealableGroup(0).size(), 1u);  // Job 5.
+  expect_totals(4, 0);
+
+  store.BeginExecute(0, 0, store.PopFront(0));  // Job 1 (long).
+  store.BeginExecute(1, 0, ShortTask(6));
+  store.BeginExecute(1, 0, ShortTask(7));
+  expect_totals(3, 3);
+
+  // A crash drains the queue, then releases the slots.
+  EXPECT_EQ(store.DrainQueue(1).size(), 2u);
+  expect_totals(1, 3);
+  store.ResetSlots(1);
+  expect_totals(1, 1);
+
+  EXPECT_EQ(store.PopFront(0).job, 4u);
+  store.FinishExecute(0, /*was_long=*/true);
+  expect_totals(0, 0);
+  EXPECT_EQ(store.DrainQueue(2).size(), 0u);
+  store.ResetSlots(2);
+  expect_totals(0, 0);
+}
+
 // --- Slot layout -------------------------------------------------------------
 
 TEST(WorkerStoreTest, UniformSlotIndexMapping) {

@@ -10,6 +10,7 @@
 
 #include "src/core/hawk_config.h"
 #include "src/core/hawk_scheduler.h"
+#include "src/core/probe_placement.h"
 #include "src/scheduler/centralized.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/experiment.h"
@@ -279,6 +280,42 @@ TEST(HawkConfigValidateTest, AcceptsDefaultsRejectsNonsense) {
   config = HawkConfig();
   config.util_sample_period_us = 0;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+// probe_ratio x tasks must not wrap: in 32 bits a ratio of 2^31 on a 2-task
+// job is zero probes, and the job never runs. Validate bounds the ratio with
+// a clean Status, and a run at the ceiling itself completes.
+TEST(HawkConfigValidateTest, ProbeRatioCeiling) {
+  HawkConfig config = SmallConfig();
+  config.probe_ratio = kMaxProbeRatio + 1;
+  const Status over = config.Validate();
+  EXPECT_FALSE(over.ok());
+  EXPECT_NE(over.message().find("probe_ratio"), std::string::npos) << over.message();
+  ASSERT_TRUE(SetConfigField(&config, "probe_ratio", 2147483648.0).ok());
+  EXPECT_FALSE(config.Validate().ok());
+
+  Trace trace;
+  for (int i = 0; i < 3; ++i) {
+    Job job;
+    job.submit_time = SecondsToUs(static_cast<double>(i));
+    job.task_durations = {SecondsToUs(1.0), SecondsToUs(2.0)};
+    trace.Add(job);
+  }
+  trace.SortAndRenumber();
+  config.probe_ratio = kMaxProbeRatio;
+  ASSERT_TRUE(config.Validate().ok());
+  for (const char* scheduler : {"sparrow", "hawk", "split"}) {
+    const RunResult result = RunExperiment(trace, config, scheduler);
+    ASSERT_EQ(result.jobs.size(), trace.NumJobs()) << scheduler;
+    EXPECT_EQ(result.counters.probes_placed, uint64_t{3} * 2 * kMaxProbeRatio) << scheduler;
+  }
+}
+
+TEST(ProbeCountDeathTest, MultipliesWithoutWrapping) {
+  EXPECT_EQ(ProbeCount(2, 3), 6u);
+  EXPECT_EQ(ProbeCount(kMaxProbeRatio, 1000), kMaxProbeRatio * 1000);
+  EXPECT_EQ(ProbeCount(65536, 65535), 4294901760u);
+  EXPECT_DEATH({ ProbeCount(2147483648u, 2); }, "probe count overflows");
 }
 
 TEST(HawkConfigFieldTest, SetConfigFieldCoversEveryName) {
