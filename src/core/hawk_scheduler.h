@@ -1,11 +1,16 @@
-// The Hawk hybrid scheduler (paper §3) — the primary contribution.
+// The Hawk hybrid scheduler (paper §3) — the primary contribution — and the
+// baselines it is measured against, as one RuntimeShape executor.
 //
-// Long jobs are placed by a centralized waiting-time queue restricted to the
-// general partition; short jobs are probed Sparrow-style over the entire
-// cluster; idle workers steal blocked short work from random general-
-// partition victims. Each mechanism has a toggle so the §4.4 component
-// breakdown ("Hawk w/out centralized / partition / stealing") runs through
-// the exact same code.
+// Hawk places long jobs with a centralized waiting-time queue restricted to
+// the general partition, probes short jobs Sparrow-style over the entire
+// cluster, and lets idle workers steal blocked short work from random
+// general-partition victims. Each mechanism has a toggle so the §4.4
+// component breakdown ("Hawk w/out centralized / partition / stealing") runs
+// through the exact same code. Sparrow (§2.3), the fully centralized
+// scheduler (§4.5) and the split cluster (§4.6) are further points of the
+// same design space, built by the named factories below: the policy decides
+// every lane from its stored shape, the same shape the prototype runtime
+// executes (see RuntimeShape).
 #ifndef HAWK_CORE_HAWK_SCHEDULER_H_
 #define HAWK_CORE_HAWK_SCHEDULER_H_
 
@@ -20,19 +25,31 @@ namespace hawk {
 
 class HawkPolicy : public SchedulerPolicy {
  public:
-  // `victim_selection` picks the steal-victim contact order; kDChoice is the
-  // "hawk-dchoice" registered variant (most-loaded victim first).
+  // The Hawk family: the shape follows the config's §4.4 toggles, and
+  // Attach draws a steal seed from the scheduler stream whether or not the
+  // shape steals. `victim_selection` picks the steal-victim contact order;
+  // kDChoice is the "hawk-dchoice" registered variant (most-loaded victim
+  // first).
   explicit HawkPolicy(const HawkConfig& config,
                       StealingPolicy::VictimSelection victim_selection =
-                          StealingPolicy::VictimSelection::kRandom)
-      : config_(config), victim_selection_(victim_selection) {}
+                          StealingPolicy::VictimSelection::kRandom);
+
+  // The baselines. None of them steals or draws from the scheduler stream
+  // at Attach.
+  // Sparrow (§2.3): every job probed over the whole cluster.
+  static std::unique_ptr<HawkPolicy> Sparrow(const HawkConfig& config);
+  // Fully centralized (§4.5): every job placed by the waiting-time queue.
+  static std::unique_ptr<HawkPolicy> Centralized(const HawkConfig& config);
+  // Split cluster (§4.6): long jobs centralized on the general partition,
+  // short jobs probed over the disjoint short partition, which must be
+  // non-empty.
+  static std::unique_ptr<HawkPolicy> SplitCluster(const HawkConfig& config);
 
   void Attach(SchedulerContext* ctx) override;
 
   RuntimeShape ShapeForRuntime(const HawkConfig& config) const override {
-    RuntimeShape shape = SchedulerPolicy::ShapeForRuntime(config);
-    shape.victim_selection = victim_selection_;
-    return shape;
+    (void)config;
+    return shape_;
   }
 
   void OnJobArrival(const Job& job, const JobClass& cls) override;
@@ -41,26 +58,33 @@ class HawkPolicy : public SchedulerPolicy {
   void OnTaskFinish(WorkerId worker, JobId job, bool is_long) override;
   void OnTaskLost(JobId job, bool is_long) override;
 
-  std::string_view Name() const override { return "hawk"; }
+  std::string_view Name() const override { return name_; }
 
   const HawkConfig& config() const { return config_; }
-  const SlotWaitingTimeQueue& waiting_times() const { return *central_queue_; }
 
  protected:
-  // The long-job lane. Virtual so the "hawk-latebind" variant can swap the
-  // eager task binding for probe placement without duplicating the routing
-  // in OnJobArrival.
-  virtual void ScheduleLongCentralized(const Job& job, const JobClass& cls);
+  // A centralized class's lane. Virtual so the "hawk-latebind" variant can
+  // swap the eager task binding for probe placement without duplicating the
+  // routing in OnJobArrival.
+  virtual void ScheduleCentralized(const Job& job, const JobClass& cls);
 
+  const RuntimeShape& shape() const { return shape_; }
   SlotWaitingTimeQueue& central_queue() { return *central_queue_; }
 
  private:
-  void ScheduleDistributed(const Job& job, const JobClass& cls, SlotId first, uint32_t count);
+  HawkPolicy(const HawkConfig& config, const RuntimeShape& shape, std::string_view name,
+             bool draws_steal_seed);
+
+  void ScheduleDistributed(const Job& job, bool is_long);
 
   HawkConfig config_;
-  StealingPolicy::VictimSelection victim_selection_;
-  // Waiting-time queue over the general partition's slots only (§3.7).
+  RuntimeShape shape_;
+  std::string_view name_;
+  bool draws_steal_seed_;
+  // Waiting-time queue over the general partition's slots (§3.7); built
+  // only when the shape centralizes some class.
   std::unique_ptr<SlotWaitingTimeQueue> central_queue_;
+  // Built only when the shape steals.
   std::unique_ptr<StealingPolicy> stealing_;
   // Probe-placement scratch (slot ids), reused across job arrivals.
   std::vector<SlotId> targets_;
@@ -105,7 +129,7 @@ class HawkLateBindPolicy : public HawkPolicy {
   std::string_view Name() const override { return "hawk-latebind"; }
 
  protected:
-  void ScheduleLongCentralized(const Job& job, const JobClass& cls) override;
+  void ScheduleCentralized(const Job& job, const JobClass& cls) override;
 };
 
 }  // namespace hawk

@@ -84,10 +84,13 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // node, the general-partition boundary, and the slot-index space used by
   // probe placement and steal-victim sampling.
   const Cluster layout(hawk.num_workers, general_count, hawk.Slots());
-  if (shape.short_probe_span == RuntimeShape::ProbeSpan::kShortPartition &&
-      layout.GeneralSlots() == layout.TotalSlots()) {
-    return Status::Error("scheduler '" + config.scheduler +
-                         "' probes the short partition, but the partition is empty");
+  // The simulator's HawkPolicy::Attach enforces the same precondition.
+  for (const bool is_long : {false, true}) {
+    if (!shape.Centralized(is_long) && SpanSlotRange(layout, shape.SpanOf(is_long)).count == 0) {
+      return Status::Error("scheduler '" + config.scheduler + "' probes " +
+                           (is_long ? "long" : "short") +
+                           " jobs over an empty span (is the short partition empty?)");
+    }
   }
 
   // Fault layer: all axes live in the shared HawkConfig, so a spec sweeps

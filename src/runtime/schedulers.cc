@@ -8,29 +8,6 @@
 
 namespace hawk {
 namespace runtime {
-namespace {
-
-// Resolves a RuntimeShape probe span to a slot range of the layout cluster.
-void SpanSlotRange(const Cluster& layout, RuntimeShape::ProbeSpan span, SlotId* first,
-                   uint32_t* count) {
-  switch (span) {
-    case RuntimeShape::ProbeSpan::kWholeCluster:
-      *first = 0;
-      *count = static_cast<uint32_t>(layout.TotalSlots());
-      return;
-    case RuntimeShape::ProbeSpan::kGeneralPartition:
-      *first = 0;
-      *count = layout.GeneralSlots();
-      return;
-    case RuntimeShape::ProbeSpan::kShortPartition:
-      *first = layout.GeneralSlots();
-      *count = static_cast<uint32_t>(layout.TotalSlots() - layout.GeneralSlots());
-      return;
-  }
-  HAWK_CHECK(false) << "unhandled probe span";
-}
-
-}  // namespace
 
 // --- CompletionSink ---------------------------------------------------------
 
@@ -102,28 +79,53 @@ uint64_t CompletionSink::duplicates() const {
   return duplicates_;
 }
 
-// --- DistributedFrontend ----------------------------------------------------
+// --- TaskRecovery -----------------------------------------------------------
 
 namespace {
 
-// Adaptive detection window shared by both executors' constructors: seeded
-// at the configured detection timeout, floored at 1/16th of it (the window
-// may shrink toward observed overheads but never to nothing) and capped at
-// 64x (the backoff ceiling for a task that keeps dying).
-AdaptiveTimeout MakeRecoveryTimeout(const FaultRecoveryPolicy& faults) {
+AdaptiveTimeout RecoveryWindow(const FaultRecoveryPolicy& faults) {
   const auto expected = static_cast<double>(faults.detection_timeout.count());
   const auto floor_us = std::max<DurationUs>(faults.detection_timeout.count() / 16, 1'000);
   const auto cap_us = std::max<DurationUs>(64 * faults.detection_timeout.count(), floor_us);
   return AdaptiveTimeout(expected, floor_us, cap_us);
 }
 
-// Key for deterministic deadline jitter (de-synchronizes the re-dispatch
-// herd after a crash kills many tasks at once).
-uint64_t TaskJitterKey(JobId job, uint32_t task_index) {
-  return (static_cast<uint64_t>(job) << 32) | task_index;
+}  // namespace
+
+TaskRecovery::TaskRecovery(const FaultRecoveryPolicy& faults)
+    : retry_budget_(faults.retry_budget), window_(RecoveryWindow(faults)) {}
+
+std::chrono::steady_clock::time_point TaskRecovery::Deadline(
+    std::chrono::steady_clock::time_point start, int64_t duration_us, JobId job,
+    uint32_t task_index, uint32_t attempts) const {
+  const DurationUs window = window_.BackoffTimeoutUs(attempts);
+  const uint64_t jitter_key = (static_cast<uint64_t>(job) << 32) | task_index;
+  return start + std::chrono::microseconds(duration_us) + std::chrono::microseconds(window) +
+         std::chrono::microseconds(AdaptiveTimeout::JitterUs(jitter_key, attempts, window / 4));
 }
 
-}  // namespace
+void TaskRecovery::AddCompletionSample(std::chrono::steady_clock::time_point start,
+                                       int64_t duration_us) {
+  const auto overshoot = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count() -
+                         duration_us;
+  window_.AddSample(static_cast<double>(std::max<int64_t>(overshoot, 0)));
+}
+
+void TaskRecovery::BookReDispatch(uint32_t* attempts) {
+  ++*attempts;
+  if (*attempts <= retry_budget_) {
+    ++re_dispatched_;
+    return;
+  }
+  ++suppressed_;
+  if (*attempts == retry_budget_ + 1) {
+    ++abandoned_;
+  }
+}
+
+// --- DistributedFrontend ----------------------------------------------------
 
 DistributedFrontend::DistributedFrontend(rpc::Address address, const Cluster* layout,
                                          const RuntimeShape& shape, uint32_t probe_ratio,
@@ -139,7 +141,7 @@ DistributedFrontend::DistributedFrontend(rpc::Address address, const Cluster* la
       sink_(sink),
       detector_(detector),
       rng_(seed),
-      rto_(MakeRecoveryTimeout(faults)) {
+      recovery_(faults) {
   HAWK_CHECK(layout != nullptr);
   HAWK_CHECK(bus != nullptr);
   HAWK_CHECK(sink != nullptr);
@@ -154,12 +156,9 @@ void DistributedFrontend::SendProbesLocked(JobId job, JobState& state, uint32_t 
   // Shared §3.5 placement: sample `count` slots without replacement from the
   // span the policy shape declares for this class, weighting workers by
   // capacity, and map each slot to its owning node monitor.
-  SlotId first = 0;
-  uint32_t span_count = 0;
-  SpanSlotRange(*layout_, state.is_long ? shape_.long_probe_span : shape_.short_probe_span,
-                &first, &span_count);
-  HAWK_CHECK_GT(span_count, 0u) << "probe span is empty for job " << job;
-  ChooseProbeTargetsInto(rng_, first, span_count, count, &targets_, &picks_);
+  const SlotRange span = SpanSlotRange(*layout_, shape_.SpanOf(state.is_long));
+  HAWK_CHECK_GT(span.count, 0u) << "probe span is empty for job " << job;
+  ChooseProbeTargetsInto(rng_, span.first, span.count, count, &targets_, &picks_);
   for (SlotId slot : targets_) {
     // Detector steering: a probe aimed at a suspected node is re-drawn a few
     // times rather than filtered — the probe count must not shrink (fewer
@@ -170,7 +169,7 @@ void DistributedFrontend::SendProbesLocked(JobId job, JobState& state, uint32_t 
     if (detector_ != nullptr) {
       for (int redraw = 0;
            redraw < 4 && detector_->Suspected(layout_->WorkerOfSlot(slot)); ++redraw) {
-        slot = first + static_cast<SlotId>(rng_.NextBounded(span_count));
+        slot = span.first + static_cast<SlotId>(rng_.NextBounded(span.count));
       }
     }
     const ProbeMsg probe = ProbeMsg::Make(job, address_, slot, state.is_long);
@@ -226,16 +225,8 @@ void DistributedFrontend::HandleMessage(const rpc::BusMessage& message) {
       task.phase = TaskPhase::kGranted;
       task.granted_at = std::chrono::steady_clock::now();
       if (faults_.enabled) {
-        // Adaptive deadline: the task's nominal runtime plus the Jacobson
-        // window, backed off exponentially per prior re-dispatch of this
-        // task and jittered deterministically so a mass-casualty crash does
-        // not re-dispatch its victims in lockstep.
-        const DurationUs window = rto_.BackoffTimeoutUs(task.attempts);
-        task.deadline = task.granted_at +
-                        std::chrono::microseconds(state.durations_us[index]) +
-                        std::chrono::microseconds(window) +
-                        std::chrono::microseconds(AdaptiveTimeout::JitterUs(
-                            TaskJitterKey(request.job, index), task.attempts, window / 4));
+        task.deadline = recovery_.Deadline(task.granted_at, state.durations_us[index],
+                                           request.job, index, task.attempts);
         state.probe_deadline = task.deadline;
       }
       const TaskMsg grant = TaskMsg::Grant(request.job, index, state.durations_us[index],
@@ -268,11 +259,7 @@ void DistributedFrontend::HandleMessage(const rpc::BusMessage& message) {
       // feeds the estimator — a retransmitted task's completion cannot be
       // attributed to one send, and would poison the smoothed overshoot.
       if (task.phase == TaskPhase::kGranted && task.attempts == 0 && !task.speculated) {
-        const auto overshoot = std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now() - task.granted_at)
-                                   .count() -
-                               done.duration_us;
-        rto_.AddSample(static_cast<double>(std::max<int64_t>(overshoot, 0)));
+        recovery_.AddCompletionSample(task.granted_at, done.duration_us);
       }
       // The completion may come from a copy recovery already presumed dead
       // (phase back to kUnassigned) — it still finishes the task. Drop a
@@ -316,18 +303,7 @@ void DistributedFrontend::ReapOverdue() {
       }
       if (faults_.enabled && now > task.deadline) {
         task.phase = TaskPhase::kUnassigned;
-        ++task.attempts;
-        if (task.attempts > faults_.retry_budget) {
-          // Budget exhausted: the re-dispatch still happens (a wall-clock
-          // run must terminate) but is accounted as suppressed, and the
-          // task as abandoned exactly once, at the moment of exhaustion.
-          ++retries_suppressed_;
-          if (task.attempts == faults_.retry_budget + 1) {
-            ++tasks_abandoned_;
-          }
-        } else {
-          ++tasks_re_dispatched_;
-        }
+        recovery_.BookReDispatch(&task.attempts);
         // A speculated task may already have its duplicate's index parked
         // in `returned`; don't queue it twice.
         if (std::find(state.returned.begin(), state.returned.end(), i) ==
@@ -365,7 +341,7 @@ void DistributedFrontend::ReapOverdue() {
 
 uint64_t DistributedFrontend::tasks_re_dispatched() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tasks_re_dispatched_;
+  return recovery_.re_dispatched();
 }
 
 uint64_t DistributedFrontend::probes_re_sent() const {
@@ -390,12 +366,12 @@ uint64_t DistributedFrontend::speculative_wasted_us() const {
 
 uint64_t DistributedFrontend::retries_suppressed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return retries_suppressed_;
+  return recovery_.suppressed();
 }
 
 uint64_t DistributedFrontend::tasks_abandoned() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tasks_abandoned_;
+  return recovery_.abandoned();
 }
 
 bool DistributedFrontend::JobProgress(JobId job, uint32_t* done, uint32_t* total) const {
@@ -419,7 +395,7 @@ CentralBackend::CentralBackend(rpc::Address address, const Cluster* layout,
       bus_(bus),
       sink_(sink),
       waiting_(*layout, layout->GeneralCount()),
-      rto_(MakeRecoveryTimeout(faults)),
+      recovery_(faults),
       epoch_(std::chrono::steady_clock::now()) {
   HAWK_CHECK(layout != nullptr);
   HAWK_CHECK(bus != nullptr);
@@ -439,19 +415,15 @@ void CentralBackend::PlaceTaskLocked(JobId job, JobState& state, uint32_t task_i
   lane_charges_[lane].push_back(state.estimate_us);
   const TaskMsg place = TaskMsg::Place(job, task_index, state.durations_us[task_index],
                                        state.is_long, address_, lane);
-  state.tasks[task_index].placed_at = std::chrono::steady_clock::now();
+  TaskState& task = state.tasks[task_index];
+  task.placed_at = std::chrono::steady_clock::now();
   if (faults_.enabled) {
-    // The deadline budgets the run itself plus the adaptive detection
-    // window (which, unlike the frontend's, has absorbed typical queue
-    // wait), backed off per re-placement of this task; a task parked deep
-    // in a busy queue can still overrun it and be re-placed while alive —
-    // the duplicate completion is counted and dropped.
-    const DurationUs window = rto_.BackoffTimeoutUs(state.tasks[task_index].attempts);
-    state.tasks[task_index].deadline =
-        state.tasks[task_index].placed_at + std::chrono::microseconds(place.duration_us) +
-        std::chrono::microseconds(window) +
-        std::chrono::microseconds(AdaptiveTimeout::JitterUs(
-            TaskJitterKey(job, task_index), state.tasks[task_index].attempts, window / 4));
+    // The window, unlike the frontend's, has absorbed typical queue wait; a
+    // task parked deep in a busy queue can still overrun its deadline and be
+    // re-placed while alive — the duplicate completion is counted and
+    // dropped.
+    task.deadline =
+        recovery_.Deadline(task.placed_at, place.duration_us, job, task_index, task.attempts);
   }
   bus_->Send(address_, worker, kTaskPlace, place.Encode());
 }
@@ -529,12 +501,7 @@ void CentralBackend::HandleMessage(const rpc::BusMessage& message) {
       }
       // Karn's rule: only never-re-placed tasks feed the adaptive window.
       if (state.tasks[done.task_index].attempts == 0) {
-        const auto overshoot = std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now() -
-                                   state.tasks[done.task_index].placed_at)
-                                   .count() -
-                               done.duration_us;
-        rto_.AddSample(static_cast<double>(std::max<int64_t>(overshoot, 0)));
+        recovery_.AddCompletionSample(state.tasks[done.task_index].placed_at, done.duration_us);
       }
       state.tasks[done.task_index].done = true;
       --state.unfinished;
@@ -564,15 +531,7 @@ void CentralBackend::ReapOverdue() {
         // in its FIFO — per-lane totals remain self-consistent because
         // charges and starts pair up in lane order, and a never-started
         // charge only pads that lane's estimate.
-        ++state.tasks[i].attempts;
-        if (state.tasks[i].attempts > faults_.retry_budget) {
-          ++retries_suppressed_;
-          if (state.tasks[i].attempts == faults_.retry_budget + 1) {
-            ++tasks_abandoned_;
-          }
-        } else {
-          ++tasks_re_dispatched_;
-        }
+        recovery_.BookReDispatch(&state.tasks[i].attempts);
         PlaceTaskLocked(job, state, i);
       }
     }
@@ -581,7 +540,7 @@ void CentralBackend::ReapOverdue() {
 
 uint64_t CentralBackend::tasks_re_dispatched() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tasks_re_dispatched_;
+  return recovery_.re_dispatched();
 }
 
 uint64_t CentralBackend::duplicate_completions() const {
@@ -591,12 +550,12 @@ uint64_t CentralBackend::duplicate_completions() const {
 
 uint64_t CentralBackend::retries_suppressed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return retries_suppressed_;
+  return recovery_.suppressed();
 }
 
 uint64_t CentralBackend::tasks_abandoned() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tasks_abandoned_;
+  return recovery_.abandoned();
 }
 
 bool CentralBackend::JobProgress(JobId job, uint32_t* done, uint32_t* total) const {

@@ -109,6 +109,52 @@ struct FaultRecoveryPolicy {
   bool Armed() const { return enabled || SpeculationOn(); }
 };
 
+// The fault-recovery bookkeeping both executors share, guarded by the
+// owning executor's mutex: the adaptive detection window that arms each
+// task copy's presumed-dead deadline, and the retry-budget ledger of
+// re-dispatches.
+class TaskRecovery {
+ public:
+  // Seeds the window at the configured detection timeout, floored at 1/16th
+  // of it (the window may shrink toward observed overheads but never to
+  // nothing) and capped at 64x (the backoff ceiling for a task that keeps
+  // dying).
+  explicit TaskRecovery(const FaultRecoveryPolicy& faults);
+
+  // Presumed-dead deadline of a copy of (job, task_index) started at
+  // `start`: its nominal runtime plus the adaptive window, backed off
+  // exponentially per prior re-dispatch (`attempts`) and jittered
+  // deterministically so a mass-casualty crash does not re-dispatch its
+  // victims in lockstep.
+  std::chrono::steady_clock::time_point Deadline(std::chrono::steady_clock::time_point start,
+                                                 int64_t duration_us, JobId job,
+                                                 uint32_t task_index, uint32_t attempts) const;
+
+  // Feeds the window one completion of a copy started at `start`: its
+  // overshoot past the nominal runtime. Karn's rule is the caller's: only a
+  // copy that was never re-dispatched (or duplicated) may be sampled — a
+  // retransmitted task's completion cannot be attributed to one send.
+  void AddCompletionSample(std::chrono::steady_clock::time_point start, int64_t duration_us);
+
+  // Books one re-dispatch of a presumed-dead task and bumps its `attempts`.
+  // Within the retry budget it counts as re-dispatched. Beyond it the
+  // re-dispatch still happens (a wall-clock run must terminate) but counts
+  // as suppressed, and the task as abandoned exactly once, at the moment of
+  // exhaustion.
+  void BookReDispatch(uint32_t* attempts);
+
+  uint64_t re_dispatched() const { return re_dispatched_; }
+  uint64_t suppressed() const { return suppressed_; }
+  uint64_t abandoned() const { return abandoned_; }
+
+ private:
+  uint32_t retry_budget_;
+  AdaptiveTimeout window_;
+  uint64_t re_dispatched_ = 0;
+  uint64_t suppressed_ = 0;
+  uint64_t abandoned_ = 0;
+};
+
 // A distributed scheduler frontend: owns the jobs submitted to it, places
 // `probe_ratio * t` probes over the slot span the policy's RuntimeShape
 // declares for the job's class, and late-binds tasks on request.
@@ -195,22 +241,19 @@ class DistributedFrontend {
 
   mutable std::mutex mu_;
   Rng rng_;
-  // Adaptive detection window (guarded by mu_): grant->completion overshoot
-  // of unretried, unspeculated copies, Jacobson-smoothed.
-  AdaptiveTimeout rto_;
+  // Guarded by mu_. Its window tracks the grant->completion overshoot of
+  // unretried, unspeculated copies.
+  TaskRecovery recovery_;
   std::unordered_map<JobId, JobState> jobs_;
   // Probe-placement scratch (slot ids), reused across submissions.
   std::vector<SlotId> targets_;
   std::vector<uint32_t> picks_;
   uint64_t jobs_handled_ = 0;
   uint64_t cancels_sent_ = 0;
-  uint64_t tasks_re_dispatched_ = 0;
   uint64_t probes_re_sent_ = 0;
   uint64_t duplicate_completions_ = 0;
   uint64_t tasks_speculated_ = 0;
   uint64_t speculative_wasted_us_ = 0;
-  uint64_t retries_suppressed_ = 0;
-  uint64_t tasks_abandoned_ = 0;
 };
 
 // The centralized backend: places every task of a submitted job on the
@@ -272,11 +315,11 @@ class CentralBackend {
 
   mutable std::mutex mu_;
   SlotWaitingTimeQueue waiting_;
-  // Adaptive detection window (guarded by mu_): placement->completion
-  // overshoot of unretried placements, Jacobson-smoothed. Unlike the
-  // frontend's, this one absorbs queue wait — centrally placed tasks park
-  // behind their lane's backlog, and that wait is genuine, not failure.
-  AdaptiveTimeout rto_;
+  // Guarded by mu_. Its window tracks the placement->completion overshoot
+  // of unretried placements. Unlike the frontend's, this one absorbs queue
+  // wait — centrally placed tasks park behind their lane's backlog, and
+  // that wait is genuine, not failure.
+  TaskRecovery recovery_;
   std::unordered_map<JobId, JobState> jobs_;
   // Per-lane reorder absorption for the multi-threaded bus, where a short
   // task's kTaskDone handler can run before its own kTaskStarted handler
@@ -296,10 +339,7 @@ class CentralBackend {
   std::vector<uint32_t> lane_deferred_finishes_;
   std::chrono::steady_clock::time_point epoch_;
   uint64_t jobs_handled_ = 0;
-  uint64_t tasks_re_dispatched_ = 0;
   uint64_t duplicate_completions_ = 0;
-  uint64_t retries_suppressed_ = 0;
-  uint64_t tasks_abandoned_ = 0;
 
   SimTime NowUs() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(

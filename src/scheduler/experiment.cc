@@ -6,30 +6,28 @@
 
 #include "src/common/check.h"
 #include "src/core/hawk_scheduler.h"
-#include "src/scheduler/centralized.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/registry.h"
-#include "src/scheduler/sparrow.h"
-#include "src/scheduler/split.h"
 #include "src/scheduler/sweep_runner.h"
 
 namespace hawk {
 namespace {
 
-// The four built-in schedulers self-register through the same public
-// mechanism external variants use (see examples/custom_policy.cpp). Any
+// The built-in schedulers — the Hawk family and the three baselines, each a
+// HawkPolicy shape — self-register through the same public mechanism
+// external variants use (see examples/custom_policy.cpp). Any
 // binary that runs experiments links this translation unit, so the names are
 // always available to RunExperiment/RunSweep.
 const SchedulerRegistration kRegisterSparrow(
     std::string(kSchedulerSparrow),
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<SparrowPolicy>(config.probe_ratio);
+      return HawkPolicy::Sparrow(config);
     });
 
 const SchedulerRegistration kRegisterCentralized(
     std::string(kSchedulerCentralized),
-    [](const HawkConfig&) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<CentralizedPolicy>();
+    [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
+      return HawkPolicy::Centralized(config);
     });
 
 const SchedulerRegistration kRegisterHawk(
@@ -71,14 +69,14 @@ const SchedulerRegistration kRegisterHawkLateBind(
     },
     [](const HawkConfig& config) { return config.GeneralCount(); });
 
-// The empty-short-partition precondition is enforced in
-// SplitClusterPolicy::Attach (simulation) and by RunPrototype's span check
-// (runtime, as a clean Status) — not here: factories must stay abort-free so
-// the prototype can construct a policy just to read its RuntimeShape.
+// The empty-short-partition precondition is enforced in HawkPolicy::Attach
+// (simulation) and by RunPrototype's span check (runtime, as a clean Status)
+// — not here: factories must stay abort-free so the prototype can construct
+// a policy just to read its RuntimeShape.
 const SchedulerRegistration kRegisterSplit(
     std::string(kSchedulerSplit),
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<SplitClusterPolicy>(config.probe_ratio);
+      return HawkPolicy::SplitCluster(config);
     },
     [](const HawkConfig& config) { return config.GeneralCount(); });
 

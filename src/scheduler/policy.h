@@ -2,8 +2,11 @@
 //
 // A policy decides *where* probes and tasks go; the simulation driver owns
 // *when* things happen (network delays, queue mechanics, late binding) and
-// exposes the minimal placement API below. The same policies are reused by
-// the threaded prototype runtime through an equivalent context.
+// exposes the minimal placement API below. A policy's placement lanes are
+// written down once as a RuntimeShape: the simulator's built-in policies
+// (HawkPolicy, src/core/hawk_scheduler.h) execute it against shared cluster
+// state, the threaded prototype runtime (src/runtime/) executes it with its
+// frontends and backend.
 #ifndef HAWK_SCHEDULER_POLICY_H_
 #define HAWK_SCHEDULER_POLICY_H_
 
@@ -63,9 +66,9 @@ class SchedulerContext {
 // prototype — exactly the paper's argument that such state is impractical
 // to keep fresh over a real network.
 struct RuntimeShape {
-  // Slot spans, resolved against the runtime's cluster layout. The general
-  // partition is a slot-id prefix, the short partition the complementary
-  // suffix (see Cluster).
+  // Slot spans, resolved against the cluster layout by SpanSlotRange. The
+  // general partition is a slot-id prefix, the short partition the
+  // complementary suffix (see Cluster).
   enum class ProbeSpan : uint8_t { kWholeCluster, kGeneralPartition, kShortPartition };
 
   // Long jobs go to the centralized backend (§3.7 waiting-time queue over
@@ -78,21 +81,58 @@ struct RuntimeShape {
   // Steal-victim contact order (kDChoice degrades to kRandom on the
   // prototype: its static layout cluster carries no live queue state).
   StealingPolicy::VictimSelection victim_selection = StealingPolicy::VictimSelection::kRandom;
+  // Where a class's probes, lost-work replacements and speculative
+  // duplicates go. A centralized class is placed by the waiting-time queue
+  // over the general partition, which lies inside its probe span.
   ProbeSpan short_probe_span = ProbeSpan::kWholeCluster;
   ProbeSpan long_probe_span = ProbeSpan::kGeneralPartition;
+
+  bool Centralized(bool is_long) const { return is_long ? centralized_long : centralized_short; }
+  ProbeSpan SpanOf(bool is_long) const { return is_long ? long_probe_span : short_probe_span; }
 };
+
+// A slot-id range [first, first + count).
+struct SlotRange {
+  SlotId first = 0;
+  uint32_t count = 0;
+};
+
+// Resolves a probe span against `cluster`'s partition layout. The one
+// span-to-slot mapping, shared by the simulator's policies and the
+// prototype's frontends.
+inline SlotRange SpanSlotRange(const Cluster& cluster, RuntimeShape::ProbeSpan span) {
+  switch (span) {
+    case RuntimeShape::ProbeSpan::kWholeCluster:
+      return SlotRange{0, static_cast<uint32_t>(cluster.TotalSlots())};
+    case RuntimeShape::ProbeSpan::kGeneralPartition:
+      return SlotRange{0, cluster.GeneralSlots()};
+    case RuntimeShape::ProbeSpan::kShortPartition:
+      return SlotRange{cluster.GeneralSlots(),
+                       static_cast<uint32_t>(cluster.TotalSlots() - cluster.GeneralSlots())};
+  }
+  HAWK_CHECK(false) << "unhandled probe span";
+  return SlotRange{};
+}
 
 class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
 
-  virtual void Attach(SchedulerContext* ctx) { ctx_ = ctx; }
+  // Binds the policy to its driver and resolves the default shape's probe
+  // spans for ReProbe and OnTaskStraggling. The base class has no config
+  // here, so it cannot see an overridden ShapeForRuntime: a policy that
+  // declares other spans must resolve them itself (ResolveProbeSpans, as
+  // HawkPolicy does) or override the lost-work and speculation callbacks.
+  virtual void Attach(SchedulerContext* ctx) {
+    ctx_ = ctx;
+    ResolveProbeSpans(RuntimeShape());
+  }
 
   // Control-plane shape for the prototype runtime. The default derives a
   // Hawk-family shape from the config's §4.4 component toggles, which is
-  // also right for externally registered Hawk variants; non-hybrid policies
-  // (Sparrow, centralized, split) override. Called on a fresh, unattached
-  // instance — implementations must not touch ctx_.
+  // also right for externally registered Hawk variants; HawkPolicy returns
+  // the shape it executes. Called on a fresh, unattached instance —
+  // implementations must not touch ctx_.
   virtual RuntimeShape ShapeForRuntime(const HawkConfig& config) const {
     RuntimeShape shape;
     shape.centralized_long = config.use_centralized_long;
@@ -127,9 +167,8 @@ class SchedulerPolicy {
   // A placed task died (its worker crashed, or its delivery was invalidated)
   // and was handed back through JobTracker::ReturnTask just before this call.
   // The policy must give the job a fresh path to a grant. The default
-  // re-probes over the span the job's class is normally probed over (long ->
-  // general partition, short -> whole cluster), which is right for every
-  // probe-based policy; centralized policies override and re-place instead.
+  // re-probes over the class's probe span, which is right for every
+  // probe-based lane; centralized lanes override and re-place instead.
   virtual void OnTaskLost(JobId job, bool is_long) { ReProbe(job, is_long); }
 
   // A probe died with its worker (queued there, in flight to it, or parked
@@ -156,32 +195,43 @@ class SchedulerPolicy {
   // A running copy of (job, task_index) has exceeded
   // speculation_threshold x the job's estimated task runtime and the driver
   // decided to speculate. The policy picks where the duplicate goes and
-  // places it via PlaceSpeculative; the default mirrors ReProbe's span rule
-  // (long -> general partition, short -> anywhere), choosing a uniformly
-  // random slot. Centralized placements are deliberately not reused here:
-  // a straggler's duplicate must not queue behind the same backlog that
-  // delayed the original, so a random lightly-loaded node is the point.
+  // places it via PlaceSpeculative; the default picks a uniformly random
+  // slot of the class's probe span, like ReProbe. Centralized placements
+  // are deliberately not reused here: a straggler's duplicate must not
+  // queue behind the same backlog that delayed the original, so a random
+  // lightly-loaded node is the point.
   virtual void OnTaskStraggling(JobId job, TaskIndex task_index, DurationUs duration,
                                 bool is_long) {
-    Cluster& cluster = ctx_->GetCluster();
-    const uint64_t span = is_long ? cluster.GeneralSlots() : cluster.TotalSlots();
-    const auto slot = static_cast<SlotId>(ctx_->SchedRng().NextBounded(span));
-    ctx_->PlaceSpeculative(cluster.WorkerOfSlot(slot), job, task_index, duration, is_long);
+    ctx_->PlaceSpeculative(RandomWorkerIn(is_long), job, task_index, duration, is_long);
   }
 
   virtual std::string_view Name() const = 0;
 
  protected:
-  // One replacement probe on a uniformly random slot; long jobs stay inside
-  // the general partition (§3.4 containment), short jobs may go anywhere.
+  // Resolves `shape`'s probe spans against the attached cluster; ReProbe and
+  // the default OnTaskStraggling draw from them.
+  void ResolveProbeSpans(const RuntimeShape& shape) {
+    for (const bool is_long : {false, true}) {
+      probe_spans_[is_long] = SpanSlotRange(ctx_->GetCluster(), shape.SpanOf(is_long));
+    }
+  }
+
+  // One replacement probe on a uniformly random slot of the class's probe
+  // span (§3.4 containment: long jobs stay inside the general partition).
   void ReProbe(JobId job, bool is_long) {
-    Cluster& cluster = ctx_->GetCluster();
-    const uint64_t span = is_long ? cluster.GeneralSlots() : cluster.TotalSlots();
-    const auto slot = static_cast<SlotId>(ctx_->SchedRng().NextBounded(span));
-    ctx_->PlaceProbe(cluster.WorkerOfSlot(slot), job, is_long);
+    ctx_->PlaceProbe(RandomWorkerIn(is_long), job, is_long);
+  }
+
+  // The worker owning a uniformly random slot of the class's probe span.
+  WorkerId RandomWorkerIn(bool is_long) {
+    const SlotRange span = probe_spans_[is_long];
+    return ctx_->GetCluster().WorkerOfSlot(
+        span.first + static_cast<SlotId>(ctx_->SchedRng().NextBounded(span.count)));
   }
 
   SchedulerContext* ctx_ = nullptr;
+  // Probe span per job class, indexed by is_long.
+  SlotRange probe_spans_[2];
 };
 
 }  // namespace hawk

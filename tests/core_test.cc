@@ -95,53 +95,6 @@ TEST(HawkConfigTest, GeneralCountRespectsPartitionToggle) {
   EXPECT_EQ(config.GeneralCount(), 100u);
 }
 
-TEST(HawkConfigTest, PartitionBySlotsMatchesWorkerSplitOnUniformFleets) {
-  // With uniform capacity, the slot-share split lands on the same worker as
-  // the worker-count split — the flag changes nothing (incl. at slots > 1).
-  for (const uint32_t slots : {1u, 2u, 4u}) {
-    for (const double fraction : {0.0, 0.02, 0.17, 0.5}) {
-      HawkConfig config;
-      config.num_workers = 100;
-      config.slots_per_worker = slots;
-      config.short_partition_fraction = fraction;
-      const uint32_t by_workers = config.GeneralCount();
-      config.partition_by_slots = true;
-      EXPECT_EQ(config.GeneralCount(), by_workers) << slots << " slots, fraction " << fraction;
-    }
-  }
-}
-
-TEST(HawkConfigTest, PartitionBySlotsFollowsCapacityOnHeterogeneousFleets) {
-  // 10 workers, every other one upgraded to 4 slots -> 25 slots total, laid
-  // out 1,4,1,4,... The short partition is the id suffix; reserving 20% of
-  // capacity must stop before the big worker at id 7.
-  HawkConfig config;
-  config.num_workers = 10;
-  config.slots_per_worker = 1;
-  config.big_worker_fraction = 0.5;
-  config.big_worker_slots = 4;
-  config.short_partition_fraction = 0.2;
-  // Worker split: floor(10 * 0.2) = 2 short workers.
-  EXPECT_EQ(config.GeneralCount(), 8u);
-  config.partition_by_slots = true;
-  // Slot split: target floor(25 * 0.2) = 5 short slots. Suffix slots from
-  // the top: worker 9 (big, 4) = 4, + worker 8 (small, 1) = 5, + worker 7
-  // (big, 4) would exceed -> general partition is [0, 8). Same boundary
-  // here, but the *reason* is capacity: with fraction 0.3 the worker split
-  // gives 7 while the slot split must stop at 8 (7 short slots > target 7?
-  // target floor(25*0.3)=7, suffix 4+1=5, +4=9 > 7 -> still [0, 8)).
-  EXPECT_EQ(config.GeneralCount(), 8u);
-  config.short_partition_fraction = 0.3;
-  EXPECT_EQ(config.GeneralCount(), 8u);
-  config.partition_by_slots = false;
-  EXPECT_EQ(config.GeneralCount(), 7u);
-  // The flag is a first-class sweepable field.
-  HawkConfig swept;
-  ASSERT_TRUE(SetConfigField(&swept, "partition_by_slots", 1.0).ok());
-  EXPECT_TRUE(swept.partition_by_slots);
-  EXPECT_TRUE(swept.Validate().ok());
-}
-
 // --- Partition sizing ---------------------------------------------------------
 
 TEST(PartitionTest, FractionFollowsTaskSecondsShare) {

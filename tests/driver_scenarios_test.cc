@@ -11,12 +11,14 @@
 
 #include "src/common/random.h"
 #include "src/core/hawk_config.h"
+#include "src/core/hawk_scheduler.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/experiment.h"
-#include "src/scheduler/sparrow.h"
+#include "src/scheduler/registry.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 #include "src/workload/trace.h"
+#include "tests/golden_workload.h"
 
 namespace hawk {
 namespace {
@@ -326,18 +328,83 @@ TEST(MetamorphicTest, DoublingAllTimeInputsDoublesAllOutputs) {
   }
 }
 
-// Forwards every placement through a worker-id permutation and every
-// execution callback through its inverse, so the wrapped policy lives in the
-// relabeled cluster without knowing it.
-class RelabelContext : public SchedulerContext {
+// Forwards every context call to the driver's context. Decorators override
+// the calls they observe or change.
+class ForwardingContext : public SchedulerContext {
  public:
-  RelabelContext(SchedulerContext* real, std::vector<WorkerId> perm)
-      : real_(real), perm_(std::move(perm)) {}
+  explicit ForwardingContext(SchedulerContext* real) : real_(real) {}
   SimTime Now() const override { return real_->Now(); }
   Rng& SchedRng() override { return real_->SchedRng(); }
   Cluster& GetCluster() override { return real_->GetCluster(); }
   JobTracker& Tracker() override { return real_->Tracker(); }
   RunCounters& Counters() override { return real_->Counters(); }
+  void PlaceProbe(WorkerId worker, JobId job, bool is_long) override {
+    real_->PlaceProbe(worker, job, is_long);
+  }
+  void PlaceTask(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
+                 bool is_long) override {
+    real_->PlaceTask(worker, job, task_index, duration, is_long);
+  }
+  void PlaceSpeculative(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
+                        bool is_long) override {
+    real_->PlaceSpeculative(worker, job, task_index, duration, is_long);
+  }
+  void DeliverStolen(WorkerId thief, const std::vector<QueueEntry>& entries) override {
+    real_->DeliverStolen(thief, entries);
+  }
+
+ protected:
+  SchedulerContext* real_;
+};
+
+// Forwards every policy callback to a wrapped policy, which is attached to
+// the context WrapContext builds around the driver's. Decorators override
+// the callbacks they observe or change.
+class ForwardingPolicy : public SchedulerPolicy {
+ public:
+  explicit ForwardingPolicy(std::unique_ptr<SchedulerPolicy> inner) : inner_(std::move(inner)) {}
+  void Attach(SchedulerContext* ctx) override {
+    SchedulerPolicy::Attach(ctx);
+    context_ = WrapContext(ctx);
+    inner_->Attach(context_.get());
+  }
+  RuntimeShape ShapeForRuntime(const HawkConfig& config) const override {
+    return inner_->ShapeForRuntime(config);
+  }
+  double SpeculationThreshold(const HawkConfig& config) const override {
+    return inner_->SpeculationThreshold(config);
+  }
+  void OnJobArrival(const Job& job, const JobClass& cls) override {
+    inner_->OnJobArrival(job, cls);
+  }
+  void OnWorkerIdle(WorkerId worker) override { inner_->OnWorkerIdle(worker); }
+  void OnTaskStart(WorkerId worker, const QueueEntry& task) override {
+    inner_->OnTaskStart(worker, task);
+  }
+  void OnTaskFinish(WorkerId worker, JobId job, bool is_long) override {
+    inner_->OnTaskFinish(worker, job, is_long);
+  }
+  void OnTaskLost(JobId job, bool is_long) override { inner_->OnTaskLost(job, is_long); }
+  void OnProbeLost(JobId job, bool is_long) override { inner_->OnProbeLost(job, is_long); }
+  void OnTaskStraggling(JobId job, TaskIndex task_index, DurationUs duration,
+                        bool is_long) override {
+    inner_->OnTaskStraggling(job, task_index, duration, is_long);
+  }
+
+ protected:
+  virtual std::unique_ptr<SchedulerContext> WrapContext(SchedulerContext* ctx) = 0;
+
+  std::unique_ptr<SchedulerPolicy> inner_;
+  std::unique_ptr<SchedulerContext> context_;
+};
+
+// Forwards every placement through a worker-id permutation and every
+// execution callback through its inverse, so the wrapped policy lives in the
+// relabeled cluster without knowing it.
+class RelabelContext : public ForwardingContext {
+ public:
+  RelabelContext(SchedulerContext* real, std::vector<WorkerId> perm)
+      : ForwardingContext(real), perm_(std::move(perm)) {}
   void PlaceProbe(WorkerId worker, JobId job, bool is_long) override {
     real_->PlaceProbe(perm_[worker], job, is_long);
   }
@@ -354,31 +421,16 @@ class RelabelContext : public SchedulerContext {
   }
 
  private:
-  SchedulerContext* real_;
   std::vector<WorkerId> perm_;
 };
 
-class RelabelPolicy : public SchedulerPolicy {
+class RelabelPolicy : public ForwardingPolicy {
  public:
   RelabelPolicy(std::unique_ptr<SchedulerPolicy> inner, std::vector<WorkerId> perm)
-      : inner_(std::move(inner)), perm_(std::move(perm)), inverse_(perm_.size()) {
+      : ForwardingPolicy(std::move(inner)), perm_(std::move(perm)), inverse_(perm_.size()) {
     for (size_t w = 0; w < perm_.size(); ++w) {
       inverse_[perm_[w]] = static_cast<WorkerId>(w);
     }
-  }
-  void Attach(SchedulerContext* ctx) override {
-    SchedulerPolicy::Attach(ctx);
-    relabel_ = std::make_unique<RelabelContext>(ctx, perm_);
-    inner_->Attach(relabel_.get());
-  }
-  RuntimeShape ShapeForRuntime(const HawkConfig& config) const override {
-    return inner_->ShapeForRuntime(config);
-  }
-  double SpeculationThreshold(const HawkConfig& config) const override {
-    return inner_->SpeculationThreshold(config);
-  }
-  void OnJobArrival(const Job& job, const JobClass& cls) override {
-    inner_->OnJobArrival(job, cls);
   }
   void OnWorkerIdle(WorkerId worker) override { inner_->OnWorkerIdle(inverse_[worker]); }
   void OnTaskStart(WorkerId worker, const QueueEntry& task) override {
@@ -387,19 +439,15 @@ class RelabelPolicy : public SchedulerPolicy {
   void OnTaskFinish(WorkerId worker, JobId job, bool is_long) override {
     inner_->OnTaskFinish(inverse_[worker], job, is_long);
   }
-  void OnTaskLost(JobId job, bool is_long) override { inner_->OnTaskLost(job, is_long); }
-  void OnProbeLost(JobId job, bool is_long) override { inner_->OnProbeLost(job, is_long); }
-  void OnTaskStraggling(JobId job, TaskIndex task_index, DurationUs duration,
-                        bool is_long) override {
-    inner_->OnTaskStraggling(job, task_index, duration, is_long);
-  }
   std::string_view Name() const override { return "relabel"; }
 
  private:
-  std::unique_ptr<SchedulerPolicy> inner_;
+  std::unique_ptr<SchedulerContext> WrapContext(SchedulerContext* ctx) override {
+    return std::make_unique<RelabelContext>(ctx, perm_);
+  }
+
   std::vector<WorkerId> perm_;
   std::vector<WorkerId> inverse_;
-  std::unique_ptr<RelabelContext> relabel_;
 };
 
 // Uniform workers are exchangeable: routing sparrow (no partition, no
@@ -425,9 +473,113 @@ TEST(MetamorphicTest, WorkerRelabelingIsInvisible) {
     SimulationDriver driver(&trace, config, config.num_workers, policy.get());
     return driver.Run();
   };
-  const RunResult base = run(std::make_unique<SparrowPolicy>(config.probe_ratio));
-  ExpectSameOutcome(base, run(std::make_unique<RelabelPolicy>(
-                              std::make_unique<SparrowPolicy>(config.probe_ratio), reversal)));
+  const RunResult base = run(HawkPolicy::Sparrow(config));
+  ExpectSameOutcome(base,
+                    run(std::make_unique<RelabelPolicy>(HawkPolicy::Sparrow(config), reversal)));
+}
+
+// Checks every placement a wrapped policy makes against the RuntimeShape the
+// policy reports for the prototype: the simulator and the prototype must
+// execute the same control plane.
+class ShapeCheckContext : public ForwardingContext {
+ public:
+  ShapeCheckContext(SchedulerContext* real, const RuntimeShape& shape)
+      : ForwardingContext(real), shape_(shape) {}
+  void PlaceProbe(WorkerId worker, JobId job, bool is_long) override {
+    ++probes;
+    CheckSpan(worker, is_long);
+    real_->PlaceProbe(worker, job, is_long);
+  }
+  void PlaceTask(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
+                 bool is_long) override {
+    ++tasks;
+    if (!shape_.Centralized(is_long)) {
+      ++task_outside_central_lane;
+    }
+    CheckSpan(worker, is_long);
+    real_->PlaceTask(worker, job, task_index, duration, is_long);
+  }
+  void PlaceSpeculative(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
+                        bool is_long) override {
+    ++speculative;
+    CheckSpan(worker, is_long);
+    real_->PlaceSpeculative(worker, job, task_index, duration, is_long);
+  }
+
+  uint64_t probes = 0;
+  uint64_t tasks = 0;
+  uint64_t speculative = 0;
+  uint64_t outside_span = 0;
+  uint64_t task_outside_central_lane = 0;
+
+ private:
+  // Every slot of `worker` must lie in the class's span.
+  void CheckSpan(WorkerId worker, bool is_long) {
+    const Cluster& cluster = real_->GetCluster();
+    const SlotRange span = SpanSlotRange(cluster, shape_.SpanOf(is_long));
+    const SlotId begin = cluster.workers().SlotBegin(worker);
+    if (begin < span.first || begin + cluster.workers().Slots(worker) > span.first + span.count) {
+      ++outside_span;
+    }
+  }
+
+  RuntimeShape shape_;
+};
+
+class ShapeCheckPolicy : public ForwardingPolicy {
+ public:
+  ShapeCheckPolicy(std::unique_ptr<SchedulerPolicy> inner, const HawkConfig& config)
+      : ForwardingPolicy(std::move(inner)), shape_(inner_->ShapeForRuntime(config)) {}
+  void OnWorkerIdle(WorkerId worker) override {
+    const uint64_t attempts = ctx_->Counters().steal_attempts;
+    inner_->OnWorkerIdle(worker);
+    if (!shape_.stealing && ctx_->Counters().steal_attempts != attempts) {
+      ++steals_outside_shape;
+    }
+  }
+  std::string_view Name() const override { return "shape-check"; }
+
+  const ShapeCheckContext& check() const { return *check_; }
+  uint64_t steals_outside_shape = 0;
+
+ private:
+  std::unique_ptr<SchedulerContext> WrapContext(SchedulerContext* ctx) override {
+    auto check = std::make_unique<ShapeCheckContext>(ctx, shape_);
+    check_ = check.get();
+    return check;
+  }
+
+  RuntimeShape shape_;
+  const ShapeCheckContext* check_ = nullptr;
+};
+
+// Every registered scheduler, under the golden chaos workload with
+// speculation on, places probes, tasks and speculative duplicates only
+// inside the spans its RuntimeShape declares, binds tasks directly only for
+// centralized classes, and steals only when the shape steals.
+TEST(ShapeConformanceTest, EveryRegisteredSchedulerStaysInsideItsShape) {
+  const Trace trace = testing::GoldenTrace();
+  HawkConfig config = testing::GoldenConfig(1);
+  config.speculation_threshold = 2.0;
+  for (const std::string& name : SchedulerRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    const SchedulerRegistry::Entry* entry = SchedulerRegistry::Global().Find(name);
+    ASSERT_NE(entry, nullptr);
+    ShapeCheckPolicy policy(entry->factory(config), config);
+    const uint32_t general_count =
+        entry->general_count ? entry->general_count(config) : config.num_workers;
+    SimulationDriver driver(&trace, config, general_count, &policy);
+    const RunResult result = driver.Run();
+    ASSERT_EQ(result.jobs.size(), trace.NumJobs());
+    const ShapeCheckContext& check = policy.check();
+    EXPECT_GT(check.probes + check.tasks, 0u);
+    EXPECT_GT(check.speculative, 0u);
+    EXPECT_EQ(check.outside_span, 0u)
+        << "of " << check.probes << " probes, " << check.tasks << " tasks and "
+        << check.speculative << " speculative copies";
+    EXPECT_EQ(check.task_outside_central_lane, 0u);
+    EXPECT_EQ(policy.steals_outside_shape, 0u);
+  }
 }
 
 }  // namespace

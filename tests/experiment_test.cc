@@ -11,12 +11,9 @@
 #include "src/core/hawk_config.h"
 #include "src/core/hawk_scheduler.h"
 #include "src/core/probe_placement.h"
-#include "src/scheduler/centralized.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/experiment.h"
 #include "src/scheduler/registry.h"
-#include "src/scheduler/sparrow.h"
-#include "src/scheduler/split.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 
@@ -81,12 +78,12 @@ TEST(SchedulerRegistryTest, EveryRegisteredNameRunsDeterministically) {
 TEST(SchedulerRegistryTest, DuplicateRegistrationIsRejected) {
   const Status status = SchedulerRegistry::Global().Register(
       "hawk", [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-        return std::make_unique<SparrowPolicy>(config.probe_ratio);
+        return HawkPolicy::Sparrow(config);
       });
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("already registered"), std::string::npos);
   // The original registration must still be in effect: "hawk" still places
-  // long tasks centrally (a SparrowPolicy would place none).
+  // long tasks centrally (a Sparrow shape would place none).
   const Trace trace = MakeTrace(60, 5);
   const RunResult run = RunExperiment(trace, SmallConfig(), "hawk");
   EXPECT_GT(run.counters.central_tasks_placed, 0u);
@@ -107,8 +104,10 @@ TEST(SchedulerRegistryTest, ExternalRegistrationIsFirstClass) {
   // examples/custom_policy.cpp does with "hawk-lb") and run + sweep it
   // through the same entry points as the built-ins.
   const Status status = SchedulerRegistry::Global().Register(
-      "test-wide-probe", [](const HawkConfig&) -> std::unique_ptr<SchedulerPolicy> {
-        return std::make_unique<SparrowPolicy>(4);
+      "test-wide-probe", [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
+        HawkConfig wide = config;
+        wide.probe_ratio = 4;
+        return HawkPolicy::Sparrow(wide);
       });
   ASSERT_TRUE(status.ok()) << status.message();
   const Trace trace = MakeTrace(60, 9);
@@ -160,26 +159,17 @@ TEST(ExperimentTest, BitIdenticalToHandBuiltDriverPath) {
     return driver.Run();
   };
 
-  {
-    SparrowPolicy sparrow(config.probe_ratio);
-    ExpectBitIdentical(RunExperiment(trace, config, "sparrow"),
-                       run_direct(&sparrow, config.num_workers));
-  }
-  {
-    CentralizedPolicy centralized;
-    ExpectBitIdentical(RunExperiment(trace, config, "centralized"),
-                       run_direct(&centralized, config.num_workers));
-  }
+  ExpectBitIdentical(RunExperiment(trace, config, "sparrow"),
+                     run_direct(HawkPolicy::Sparrow(config).get(), config.num_workers));
+  ExpectBitIdentical(RunExperiment(trace, config, "centralized"),
+                     run_direct(HawkPolicy::Centralized(config).get(), config.num_workers));
   {
     HawkPolicy hawk_policy(config);
     ExpectBitIdentical(RunExperiment(trace, config, "hawk"),
                        run_direct(&hawk_policy, config.GeneralCount()));
   }
-  {
-    SplitClusterPolicy split(config.probe_ratio);
-    ExpectBitIdentical(RunExperiment(trace, config, "split"),
-                       run_direct(&split, config.GeneralCount()));
-  }
+  ExpectBitIdentical(RunExperiment(trace, config, "split"),
+                     run_direct(HawkPolicy::SplitCluster(config).get(), config.GeneralCount()));
 }
 
 // --- SweepSpec expansion -----------------------------------------------------

@@ -17,12 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/core/hawk_config.h"
 #include "src/scheduler/experiment.h"
-#include "src/workload/arrivals.h"
-#include "src/workload/cluster_workloads.h"
 #include "src/workload/trace.h"
+#include "tests/golden_workload.h"
 #include "tests/result_digest.h"
 
 namespace hawk {
@@ -32,31 +30,8 @@ const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice"
                                 "hawk-spec", "hawk-latebind", "split"};
 constexpr uint64_t kSeeds[] = {1, 2};
 
-// The pinned workload lights every layer: partitioned + stealing schedulers,
-// speculation (via hawk-spec), crashes, churn, message loss, jitter and
-// stragglers. Rates per worker-second, well under 1/longest-task so crashed
-// work terminates (see fault_test.cc).
-HawkConfig GoldenConfig(uint64_t seed) {
-  HawkConfig config;
-  config.num_workers = 100;
-  config.classify_mode = ClassifyMode::kHint;
-  config.seed = seed;
-  config.worker_crash_rate = 3e-7;
-  config.worker_churn_rate = 2e-7;
-  config.worker_downtime_us = SecondsToUs(20.0);
-  config.message_loss_rate = 0.05;
-  config.message_delay_jitter_us = 2'000;
-  config.straggler_rate = 0.05;
-  config.fault_seed = 3;
-  return config;
-}
-
-Trace GoldenTrace() {
-  Trace trace = GenerateClusterWorkload(FacebookParams(150, 5));
-  Rng arrivals_rng(11);
-  AssignPoissonArrivals(&trace, SecondsToUs(2.0), &arrivals_rng);
-  return trace;
-}
+using testing::GoldenConfig;
+using testing::GoldenTrace;
 
 std::string CellKey(const std::string& scheduler, uint64_t seed) {
   std::ostringstream key;
